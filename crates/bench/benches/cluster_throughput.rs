@@ -1,19 +1,13 @@
 //! Cluster serving throughput: invocations/sec replayed end to end
 //! (dispatch → simulate → probe → price → shard) as machine count,
-//! placement policy, stepping mode and elasticity features vary.
-//!
-//! The persistent worker pool amortises thread spawns across slices,
-//! so `stepping_modes` is the headline comparison: `pooled` must never
-//! lose to `scoped`, and should win clearly at higher machine counts
-//! (a 2 s replay crosses ~100 slice barriers; scoped stepping pays a
-//! spawn/join per machine-chunk at every one of them).
+//! placement policy and elasticity features vary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use litmus_cluster::{
     AutoscalerConfig, Cluster, ClusterConfig, ClusterDriver, LeastLoaded, LitmusAware,
-    MachineConfig, PlacementPolicy, RoundRobin, StealingConfig, SteppingMode,
+    MachineConfig, PlacementPolicy, RoundRobin, StealingConfig,
 };
 use litmus_core::{DiscountModel, PricingTables, TableBuilder};
 use litmus_platform::InvocationTrace;
@@ -73,44 +67,6 @@ fn replay_driver<P: PlacementPolicy>(
     let mut driver = driver;
     let report = driver.replay(&mut cluster, trace).expect("replay succeeds");
     report.completed
-}
-
-/// Pooled vs scoped stepping at small and large machine counts — the
-/// driver refactor's headline number. The persistent pool must match
-/// scoped stepping at 2 machines and beat it at 8+.
-fn bench_stepping_modes(c: &mut Criterion) {
-    let (tables, model) = calibration();
-    let mut group = c.benchmark_group("cluster_stepping_modes");
-    group.sample_size(10);
-    for machines in [2usize, 8, 16] {
-        let trace =
-            InvocationTrace::poisson(suite::benchmarks(), 40.0 * machines as f64, 2_000, 31)
-                .expect("non-empty pool");
-        for (label, mode) in [
-            ("pooled", SteppingMode::Pooled),
-            ("scoped", SteppingMode::Scoped),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::from_parameter(format!("{label}_{machines}machines")),
-                &machines,
-                |b, &machines| {
-                    b.iter(|| {
-                        black_box(replay_driver(
-                            ClusterDriver::new(LitmusAware::new()),
-                            // Pin the thread count: the mode comparison
-                            // must exercise thread management even on
-                            // hosts whose available_parallelism is 1.
-                            config(machines).threads(4.min(machines)).stepping(mode),
-                            &tables,
-                            &model,
-                            &trace,
-                        ))
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
 }
 
 /// Overhead (and benefit) of the elasticity features at a fixed size:
@@ -250,7 +206,6 @@ fn bench_policies(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_stepping_modes,
     bench_machine_scaling,
     bench_policies,
     bench_elasticity_variants,

@@ -3,14 +3,14 @@
 //! bench-gate checks regressions against.
 //!
 //! Two arms, each run under BOTH replay engines (slice stepping — the
-//! oracle — and the discrete-event engine), at 1 and 4 worker-pool
-//! threads:
+//! oracle — and the event engine, which skips quiet slices), at 1 and
+//! 4 worker-pool threads:
 //!
 //! * **dense** — one fixture day with stealing + predictive
 //!   autoscaling on: every slice boundary is a decision round, so this
 //!   measures the full dispatch → simulate → probe → price → shard
-//!   path and the per-stage breakdown (dispatch / scale / steal /
-//!   step / barrier / queue);
+//!   path and the per-stage breakdown (queue / dispatch / scale /
+//!   steal / step / fan-out);
 //! * **sparse** — a two-day fixture chain stretched to real-time
 //!   minutes and thinned hard, so almost every slice is empty: the
 //!   workload the event engine collapses. The file records the
@@ -236,7 +236,7 @@ fn run_json(result: &RunResult, invocations: usize) -> String {
     obj.f64_field("throughput_inv_per_s", invocations as f64 / (best_ms / 1e3));
     obj.u64_field("peak_machines", result.best.peak_machines as u64);
     // Wall-clock stage breakdown from the fastest rep — slice-vs-event
-    // lives here ("barrier" and "queue"/"skip" especially).
+    // lives here ("fan-out" and "bulk-account" especially).
     obj.raw_field("stages", &result.best.telemetry().profile().to_json());
     obj.finish()
 }

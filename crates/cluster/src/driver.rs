@@ -13,10 +13,9 @@ use litmus_workloads::Language;
 use crate::billing::BillingAggregator;
 use crate::context::ServingContext;
 use crate::error::ClusterError;
-use crate::events::{EventQueue, ReplayEvent};
 use crate::machine::{CompletionRecord, Machine, MachineConfig, MachineId};
 use crate::policy::{MachineSnapshot, PlacementPolicy};
-use crate::pool::{panic_message, SteppingMode, WorkerPool};
+use crate::pool::{SteppingMode, WorkerPool};
 use crate::scale::{
     Autoscaler, AutoscalerConfig, ForecastSample, MachineLifetime, ScaleEvent, ScaleKind,
     ScalingPolicy,
@@ -36,8 +35,8 @@ pub struct ClusterConfig {
     pub slice_ms: u64,
     /// Worker threads stepping machines in parallel (1 = sequential).
     pub threads: usize,
-    /// How the stepping threads are managed (persistent pool vs
-    /// per-slice scoped threads).
+    /// Which replay engine walks the trace: the slice oracle, or the
+    /// event engine that skips quiet slices.
     pub stepping: SteppingMode,
     /// Instruction-count scale applied to served functions.
     pub serving_scale: f64,
@@ -57,7 +56,7 @@ impl ClusterConfig {
     ///
     /// * `LITMUS_POOL_THREADS` — stepping thread count (a positive
     ///   integer; anything else falls back to host parallelism);
-    /// * `LITMUS_STEPPING` — `pooled`, `scoped`, or
+    /// * `LITMUS_STEPPING` — `pooled` (the slice oracle) or
     ///   `event`/`event-driven` (anything else falls back to the
     ///   default mode).
     ///
@@ -77,7 +76,6 @@ impl ClusterConfig {
             .ok()
             .and_then(|raw| match raw.trim() {
                 "pooled" => Some(SteppingMode::Pooled),
-                "scoped" => Some(SteppingMode::Scoped),
                 "event" | "event-driven" => Some(SteppingMode::EventDriven),
                 _ => None,
             })
@@ -113,7 +111,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the stepping mode ([`SteppingMode::Pooled`] by default).
+    /// Sets the replay engine ([`SteppingMode::Pooled`], the slice
+    /// oracle, by default).
     pub fn stepping(mut self, mode: SteppingMode) -> Self {
         self.stepping = mode;
         self
@@ -365,58 +364,37 @@ impl Cluster {
         moved
     }
 
-    /// Steps every live machine to cluster time `target_ms`, in
-    /// parallel when the cluster was configured with more than one
-    /// thread. Machines are fully independent state machines, so
-    /// pooled, scoped and sequential stepping produce bit-identical
-    /// results.
-    fn step_all(&mut self, target_ms: u64, profile: &mut StageProfile) -> Result<()> {
-        let threads = self.threads.min(self.machines.len()).max(1);
-        if threads == 1 {
-            let ctx = Arc::clone(&self.ctx);
-            for machine in &mut self.machines {
-                machine.step_to(target_ms, &ctx)?;
-            }
-            return Ok(());
-        }
-        match self.stepping {
-            SteppingMode::Scoped => self.step_all_scoped(target_ms, threads),
-            SteppingMode::Pooled | SteppingMode::EventDriven => {
-                // Size the pool by the configured thread count, not the
-                // current machine count: an autoscaled fleet may grow
-                // past its initial size, and step_all already caps the
-                // shards it hands out by the live machine count.
-                let workers = self.threads;
-                let pool = self.pool.get_or_insert_with(|| WorkerPool::spawn(workers));
-                pool.step_all(&mut self.machines, target_ms, &self.ctx, profile)
-            }
-        }
-    }
-
-    /// The event-driven engine's stepping entry point: when no live
-    /// machine has real quantum work before `target_ms` (no active
+    /// Steps every live machine to cluster time `target_ms`. When no
+    /// machine has real quantum work before the target (no active
     /// instances, no launch due), every machine fast-forwards in O(1)
-    /// sequentially — no shard trip to the worker pool, no barrier.
-    /// Otherwise this is exactly [`Cluster::step_all`], so results are
-    /// bit-identical either way.
-    fn step_all_event(&mut self, target_ms: u64, profile: &mut StageProfile) -> Result<()> {
-        if self
+    /// on this thread — no shard trip to the worker pool. Otherwise the
+    /// machines fan out across the worker pool when the cluster was
+    /// configured with more than one thread, and the whole step is
+    /// profiled as the `fan-out` stage. Machines are fully independent
+    /// state machines, so pooled and sequential stepping produce
+    /// bit-identical results.
+    fn step_all(&mut self, target_ms: u64, profile: &mut StageProfile) -> Result<()> {
+        let busy = self
             .machines
             .iter()
-            .any(|machine| machine.needs_quanta_before(target_ms))
-        {
-            // Real quantum work somewhere: fan the machines out across
-            // the worker pool (profiled as its own event-engine stage).
-            let started = profile.start();
-            let result = self.step_all(target_ms, profile);
-            profile.stop("fan-out", started);
-            return result;
-        }
-        let ctx = Arc::clone(&self.ctx);
-        for machine in &mut self.machines {
-            machine.step_to(target_ms, &ctx)?;
-        }
-        Ok(())
+            .any(|machine| machine.needs_quanta_before(target_ms));
+        let started = if busy { profile.start() } else { None };
+        let result = if busy && self.threads.min(self.machines.len()) > 1 {
+            // Size the pool by the configured thread count, not the
+            // current machine count: an autoscaled fleet may grow past
+            // its initial size, and the pool already caps the shards
+            // it hands out by the live machine count.
+            let workers = self.threads;
+            let pool = self.pool.get_or_insert_with(|| WorkerPool::spawn(workers));
+            pool.step_all(&mut self.machines, target_ms, &self.ctx)
+        } else {
+            let ctx = &self.ctx;
+            self.machines
+                .iter_mut()
+                .try_for_each(|machine| machine.step_to(target_ms, ctx))
+        };
+        profile.stop("fan-out", started);
+        result
     }
 
     /// Full simulator quanta actually stepped across the *live* fleet
@@ -426,36 +404,6 @@ impl Cluster {
     /// no matter how they sliced time.
     pub fn quanta_stepped(&self) -> u64 {
         self.machines.iter().map(Machine::quanta_stepped).sum()
-    }
-
-    /// The original per-slice scoped-thread stepping, kept so the
-    /// `cluster_throughput` bench can measure the pool against it.
-    fn step_all_scoped(&mut self, target_ms: u64, threads: usize) -> Result<()> {
-        let ctx = &self.ctx;
-        let chunk_len = self.machines.len().div_ceil(threads);
-        let results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .machines
-                .chunks_mut(chunk_len)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        for machine in chunk {
-                            machine.step_to(target_ms, ctx)?;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| {
-                    handle.join().unwrap_or_else(|panic| {
-                        Err(ClusterError::WorkerPanic(panic_message(&panic)))
-                    })
-                })
-                .collect()
-        });
-        results.into_iter().collect()
     }
 }
 
@@ -765,10 +713,10 @@ impl<P: PlacementPolicy> ClusterDriver<P> {
         self
     }
 
-    /// Enables wall-clock profiling of the replay-loop stages
-    /// (dispatch, scale, steal, step, and barrier under slice
-    /// stepping; queue, bulk-account and fan-out under the event
-    /// engine). Profiling is excluded from the deterministic telemetry
+    /// Enables wall-clock profiling of the replay-loop stages (queue,
+    /// dispatch, scale, steal, step and fan-out under both engines,
+    /// plus bulk-account when the event engine skips quiet slices).
+    /// Profiling is excluded from the deterministic telemetry
     /// export and from report equality, so it can stay on during
     /// determinism checks.
     pub fn profiling(mut self, enabled: bool) -> Self {
@@ -991,12 +939,7 @@ impl<P: PlacementPolicy> ClusterDriver<P> {
         };
         self.active_alerts.clear();
 
-        match cluster.stepping {
-            SteppingMode::EventDriven => self.run_event_driven(cluster, &mut source, &mut state)?,
-            SteppingMode::Pooled | SteppingMode::Scoped => {
-                self.run_slices(cluster, &mut source, &mut state)?
-            }
-        }
+        self.run(cluster, &mut source, &mut state)?;
         self.drain(cluster, &mut state)?;
 
         // The replay horizon is now known: fold the at-horizon tail
@@ -1028,13 +971,6 @@ impl<P: PlacementPolicy> ClusterDriver<P> {
             &state.steal_events,
         );
         emit_trace_spans(&mut state);
-        if cluster.stepping == SteppingMode::EventDriven {
-            // The slice barrier is not part of the event engine's
-            // execution model; keep its wall-clock summary to stages
-            // the engine actually has (queue, bulk-account, fan-out,
-            // step, dispatch, scale, steal).
-            state.telemetry.profile_mut().drop_stage("barrier");
-        }
         state.telemetry.close_span(replay_span, state.now_ms);
 
         let ReplayState {
@@ -1147,75 +1083,45 @@ impl<P: PlacementPolicy> ClusterDriver<P> {
         })
     }
 
-    /// The slice-stepping replay loop — the oracle engine: every
-    /// boundary is processed whether or not anything happens there.
-    fn run_slices<S: TraceSource>(
-        &mut self,
-        cluster: &mut Cluster,
-        source: &mut ChunkedSource<S>,
-        state: &mut ReplayState,
-    ) -> Result<()> {
-        while !source.is_exhausted() {
-            let slice_end = state.now_ms + state.slice_ms;
-            self.process_slice(cluster, source, state, slice_end)?;
-        }
-        Ok(())
-    }
-
-    /// The discrete-event replay loop ([`SteppingMode::EventDriven`]):
-    /// per round, k-way-merge the boundary-generating streams — the
-    /// next trace arrival's admitting boundary, the autoscaler's probe
-    /// tick, pending boot commissions, the forecast sampling point —
-    /// into the [`EventQueue`], pop the earliest, bulk-skip the quiet
-    /// slices before it in O(1) bookkeeping, then process the slice
-    /// that ends at it exactly as the oracle would.
+    /// The replay loop both engines share: per round, pick the next
+    /// boundary to process — the one place the engines differ — then
+    /// process the slice that ends there exactly as the oracle would.
     ///
-    /// With elastic control on (autoscaler or stealing), a probe tick
-    /// lands on every boundary — the forecaster must observe every
-    /// slice's admitted count and cooldown clocks advance per decision
-    /// round — so the engine degrades to boundary-by-boundary stepping
-    /// and the win comes from machine-level idle fast-forwarding
-    /// instead.
-    fn run_event_driven<S: TraceSource>(
+    /// Slice stepping ([`SteppingMode::Pooled`], the oracle) processes
+    /// every boundary. So does the event engine whenever elastic
+    /// control is on (autoscaler or stealing): each boundary is then a
+    /// decision round — the forecaster observes every slice's admitted
+    /// count and cooldown clocks advance per round — and its win comes
+    /// from machine-level idle fast-forwarding instead. With elastic
+    /// control off, the event engine jumps to the boundary that admits
+    /// the next arrival and bulk-skips the quiet slices before it in
+    /// O(1) bookkeeping.
+    fn run<S: TraceSource>(
         &mut self,
         cluster: &mut Cluster,
         source: &mut ChunkedSource<S>,
         state: &mut ReplayState,
     ) -> Result<()> {
-        let mut queue = EventQueue::new();
+        let skip_quiet = cluster.stepping == SteppingMode::EventDriven
+            && state.autoscaler.is_none()
+            && self.stealing.is_none();
         while let Some(at_ms) = source.peek_at_ms() {
             let queue_started = state.telemetry.profile().start();
-            queue.clear();
             let horizon = state.now_ms + state.slice_ms;
             // fill_before admits strictly-before, so an arrival at
             // `at_ms` is admitted by the first boundary after it; a
             // late (out-of-order) stamp clamps to the next boundary —
             // exactly where slice stepping would admit it.
-            let admit = ((at_ms / state.slice_ms) + 1) * state.slice_ms;
-            queue.push(ReplayEvent::arrival(admit.max(horizon), 0));
-            if let Some(scaler) = &state.autoscaler {
-                queue.push(ReplayEvent::probe_tick(horizon));
-                for (slot, ready_ms) in scaler.pending_ready().enumerate() {
-                    let commission = ready_ms.div_ceil(state.slice_ms) * state.slice_ms;
-                    queue.push(ReplayEvent::boot_ready(
-                        commission.max(horizon),
-                        slot as u64,
-                    ));
-                }
-                if scaler.is_predictive() {
-                    queue.push(ReplayEvent::forecast(horizon));
-                }
-            }
-            if self.stealing.is_some() {
-                queue.push(ReplayEvent::probe_tick(horizon));
-            }
-            let next = queue.pop().expect("an arrival event was just pushed"); // lint:allow(panic-in-lib): an arrival was pushed onto the queue in the preceding statement
+            let next = if skip_quiet {
+                ((at_ms / state.slice_ms + 1) * state.slice_ms).max(horizon)
+            } else {
+                horizon
+            };
             state.telemetry.profile_mut().stop("queue", queue_started);
-            let process_start = next.at_ms - state.slice_ms;
-            if process_start > state.now_ms {
-                bulk_skip(cluster, state, process_start)?;
+            if next > horizon {
+                bulk_skip(cluster, state, next - state.slice_ms)?;
             }
-            self.process_slice(cluster, source, state, next.at_ms)?;
+            self.process_slice(cluster, source, state, next)?;
         }
         Ok(())
     }
@@ -1365,38 +1271,13 @@ impl<P: PlacementPolicy> ClusterDriver<P> {
     /// boundary rounds until the cluster empties or the drain window
     /// closes. Both engines drain boundary-by-boundary — the replay's
     /// `sim_ms` must end at the *first* boundary where nothing is
-    /// outstanding, which only stepping each boundary can observe —
-    /// but the event engine discovers each round through
-    /// completion-watch and probe-tick events on its queue, so the two
-    /// code paths stay one.
+    /// outstanding, which only stepping each boundary can observe.
     fn drain(&mut self, cluster: &mut Cluster, state: &mut ReplayState) -> Result<()> {
         let drain_start_ms = state.now_ms;
         let drain_pending = cluster.outstanding();
         let deadline = drain_start_ms + cluster.drain_ms;
-        let event_mode = cluster.stepping == SteppingMode::EventDriven;
-        let mut queue = EventQueue::new();
         while cluster.outstanding() > 0 && state.now_ms < deadline {
-            let horizon = state.now_ms + state.slice_ms;
-            let next_ms = if event_mode {
-                queue.clear();
-                for machine in &cluster.machines {
-                    if machine.outstanding() > 0 {
-                        queue.push(ReplayEvent::completion(
-                            horizon,
-                            machine.id().index() as u64,
-                        ));
-                    }
-                }
-                if state.autoscaler.is_some() || self.stealing.is_some() {
-                    queue.push(ReplayEvent::probe_tick(horizon));
-                }
-                queue
-                    .pop()
-                    .map_or(horizon, |event| event.at_ms)
-                    .min(deadline)
-            } else {
-                horizon.min(deadline)
-            };
+            let next_ms = (state.now_ms + state.slice_ms).min(deadline);
             state.telemetry.inc("slices", 1);
             self.boundary(cluster, state, next_ms, 0)?;
             step_cluster(cluster, state, next_ms)?;
@@ -1520,18 +1401,11 @@ fn apply_slo_transitions(telemetry: &mut Telemetry, transitions: Vec<SloAlert>) 
     }
 }
 
-/// Steps every live machine to `target_ms` under the cluster's
-/// stepping mode, wall-clock-profiled as the "step" stage.
+/// Steps every live machine to `target_ms`, wall-clock-profiled as
+/// the "step" stage.
 fn step_cluster(cluster: &mut Cluster, state: &mut ReplayState, target_ms: u64) -> Result<()> {
     let started = state.telemetry.profile().start();
-    match cluster.stepping {
-        SteppingMode::EventDriven => {
-            cluster.step_all_event(target_ms, state.telemetry.profile_mut())?
-        }
-        SteppingMode::Pooled | SteppingMode::Scoped => {
-            cluster.step_all(target_ms, state.telemetry.profile_mut())?
-        }
-    }
+    cluster.step_all(target_ms, state.telemetry.profile_mut())?;
     state.telemetry.profile_mut().stop("step", started);
     // Drain sampled completion records on the driver thread before the
     // next boundary can retire an emptied machine (records drop with
@@ -1546,8 +1420,7 @@ fn step_cluster(cluster: &mut Cluster, state: &mut ReplayState, target_ms: u64) 
     // Every record completing before `target_ms` is now drained, which
     // is exactly what finalizing the boundaries strictly before it
     // needs — so the online SLO engine advances here, on the shared
-    // path all three stepping entry points (slice, event, bulk skip)
-    // funnel through.
+    // path every step (slice, drain round, bulk skip) funnels through.
     feed_slo_boundary(state, target_ms);
     Ok(())
 }

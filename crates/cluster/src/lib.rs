@@ -15,9 +15,13 @@
 //!   machine whose latest startup probe predicts the smallest
 //!   slowdown);
 //! * [`ClusterDriver`] — replays a multi-tenant
-//!   [`litmus_platform::InvocationTrace`] per time-slice, stepping
-//!   machines on a persistent worker pool (threads spawned once per
-//!   cluster, synchronised at a per-slice barrier);
+//!   [`litmus_platform::InvocationTrace`] per time-slice in one replay
+//!   loop shared by both [`SteppingMode`]s: slice stepping (the oracle)
+//!   processes every boundary, while the event engine skips the quiet
+//!   slices before the next arrival when elastic control is off.
+//!   Slices with real quantum work step machines on a persistent
+//!   worker pool (threads spawned once per cluster, synchronised at a
+//!   per-slice barrier); quiet ones fast-forward every machine in O(1);
 //! * [`StealingConfig`] — slice-boundary work stealing: machines whose
 //!   queued-but-not-launched backlog exceeds a threshold re-dispatch
 //!   the excess to the machine with the best forward-adjusted probe
@@ -99,7 +103,6 @@ mod billing;
 mod context;
 mod driver;
 mod error;
-mod events;
 mod machine;
 mod policy;
 mod pool;
@@ -110,7 +113,6 @@ pub use billing::{BillingAggregator, BillingShard};
 pub use context::ServingContext;
 pub use driver::{Cluster, ClusterConfig, ClusterDriver, ClusterReport};
 pub use error::ClusterError;
-pub use events::{EventClass, EventQueue, ReplayEvent};
 pub use machine::{Machine, MachineConfig, MachineId};
 pub use policy::{
     LeastLoaded, LitmusAware, MachineSnapshot, PlacementPolicy, ProbeFreshness, RoundRobin,

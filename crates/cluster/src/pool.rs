@@ -1,9 +1,8 @@
 //! Persistent stepping workers for a [`crate::Cluster`].
 //!
-//! The original driver spawned scoped threads for every time-slice —
-//! thousands of spawn/join cycles per replay. The [`WorkerPool`] keeps
-//! the threads alive for the lifetime of the cluster instead: each
-//! slice, machine shards are handed to the same workers over channels,
+//! The [`WorkerPool`] keeps its stepping threads alive for the
+//! lifetime of the cluster: in each slice with real quantum work,
+//! machine shards are handed to the same workers over channels,
 //! stepped in parallel, and handed back at the slice barrier (the main
 //! thread blocks until every shard returns, so a slice never overlaps
 //! the next dispatch round). Machines are fully independent state
@@ -14,30 +13,28 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use litmus_telemetry::StageProfile;
-
 use crate::context::ServingContext;
 use crate::error::ClusterError;
 use crate::machine::Machine;
 use crate::Result;
 
-/// How the driver steps machines through each time-slice.
+/// Which replay engine walks the trace. Both share one replay loop
+/// and the same worker pool; they differ only in which slice boundary
+/// the loop processes next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SteppingMode {
-    /// Long-lived worker pool: threads are spawned once per cluster
-    /// and fed machine shards per slice — the default.
+    /// Slice stepping — the oracle and the default: every slice
+    /// boundary is processed, whether or not anything happens there.
+    /// Slices with real quantum work fan out across the persistent
+    /// worker pool; quiet ones fast-forward every machine in O(1).
     #[default]
     Pooled,
-    /// Scoped threads spawned and joined every slice — the original
-    /// design, kept for benchmarking the pool against.
-    Scoped,
-    /// Discrete-event replay: the driver merges arrivals, completions,
-    /// probe ticks, scale/boot events and forecast sampling points
-    /// into one time-ordered queue and advances boundary-to-boundary.
-    /// Quiet stretches are bulk-skipped in O(1) per machine; dense
-    /// stretches still fan out across the same worker pool as
-    /// [`SteppingMode::Pooled`]. Slice stepping remains the oracle:
-    /// event-driven replays are bit-identical to it (full
+    /// Event-driven replay: with elastic control (autoscaling or
+    /// stealing) off, the driver jumps straight to the boundary that
+    /// admits the next arrival and accounts the quiet slices before it
+    /// in O(1). With elastic control on, every boundary is a decision
+    /// round and the engine steps them all, like the oracle.
+    /// Event-driven replays are bit-identical to slice stepping (full
     /// [`crate::ClusterReport`] and telemetry JSONL) at the same seed.
     EventDriven,
 }
@@ -57,7 +54,7 @@ struct Done {
 }
 
 /// A pool of long-lived stepping threads, created once per cluster and
-/// reused by every slice of every replay.
+/// reused by every busy slice of every replay.
 #[derive(Debug)]
 pub(crate) struct WorkerPool {
     jobs: Vec<Sender<Job>>,
@@ -92,10 +89,7 @@ impl WorkerPool {
 
     /// Steps every machine to cluster time `target_ms`: shards the
     /// machine vector across the workers, waits for every shard at the
-    /// slice barrier, and reassembles the vector in order. When
-    /// `profile` is enabled, the wall-clock time the main thread spends
-    /// blocked on returning shards is charged to the `"barrier"` stage
-    /// (the convoy cost the ROADMAP's slice-free engine would remove).
+    /// slice barrier, and reassembles the vector in order.
     ///
     /// # Errors
     ///
@@ -107,7 +101,6 @@ impl WorkerPool {
         machines: &mut Vec<Machine>,
         target_ms: u64,
         ctx: &Arc<ServingContext>,
-        profile: &mut StageProfile,
     ) -> Result<()> {
         let count = machines.len();
         if count == 0 {
@@ -134,7 +127,6 @@ impl WorkerPool {
 
         let mut slots: Vec<Option<Machine>> = (0..count).map(|_| None).collect();
         let mut first_error = None;
-        let barrier_started = profile.start();
         for _ in 0..sent {
             let done = self
                 .done_rx
@@ -147,7 +139,6 @@ impl WorkerPool {
                 first_error.get_or_insert(e);
             }
         }
-        profile.stop("barrier", barrier_started);
         for slot in slots {
             machines.push(
                 slot.ok_or_else(|| ClusterError::WorkerPanic("worker lost a machine".into()))?,
@@ -198,7 +189,7 @@ fn worker_loop(jobs: Receiver<Job>, done: Sender<Done>) {
     }
 }
 
-pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = panic.downcast_ref::<String>() {

@@ -599,20 +599,6 @@ impl Autoscaler {
         Ok(())
     }
 
-    /// Ready times of machines ordered but still booting, in order
-    /// time. The event-driven engine turns these into `BootReady`
-    /// events so a commissioning boundary inside an otherwise-quiet
-    /// stretch is never skipped past.
-    pub(crate) fn pending_ready(&self) -> impl Iterator<Item = u64> + '_ {
-        self.pending.iter().map(|boot| boot.ready_at_ms)
-    }
-
-    /// Whether this autoscaler runs the predictive policy (and thus
-    /// samples a forecast at every decision round).
-    pub(crate) fn is_predictive(&self) -> bool {
-        self.predictor.is_some()
-    }
-
     /// Runs one decision round at slice boundary `now_ms`: retires any
     /// machine that finished draining, feeds the forecaster the
     /// `admitted` arrival count of the slice that just ended

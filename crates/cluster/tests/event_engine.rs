@@ -1,4 +1,4 @@
-//! Oracle contract of the discrete-event replay engine
+//! Oracle contract of the event-driven replay engine
 //! ([`SteppingMode::EventDriven`]): for the same trace, cluster
 //! configuration and policy it must produce a bit-identical
 //! [`ClusterReport`] AND a byte-identical telemetry JSONL export
@@ -277,5 +277,78 @@ fn all_idle_gap_costs_zero_machine_quanta() {
             "{stepping:?}: gap not replayed in full"
         );
         assert_eq!(report_short.completed, report_long.completed);
+    }
+}
+
+#[test]
+fn event_engine_matches_slice_oracle_at_every_next_boundary_rule() {
+    // One case per branch of the event engine's next-boundary rule
+    // that the tests above do not reach: stealing alone (every
+    // boundary is a probe round, no autoscaler), reactive autoscaling
+    // (probe rounds and boot commissions, no forecast), and a drain
+    // window that closes with work still outstanding (the last drain
+    // boundary is the deadline, not a slice edge).
+    fn traced() -> ClusterDriver<LitmusAware> {
+        ClusterDriver::new(LitmusAware::new())
+            .telemetry(TelemetryConfig::default().trace_sampling(0x0B5E, 1.0))
+    }
+    fn stealing_only() -> ClusterDriver<LitmusAware> {
+        traced().stealing(StealingConfig::default().backlog_threshold(2))
+    }
+    fn reactive() -> ClusterDriver<LitmusAware> {
+        traced().autoscale(
+            AutoscalerConfig::new(
+                MachineConfig::new(8)
+                    .background_scale(0.05)
+                    .warmup_ms(60)
+                    .max_inflight(3)
+                    .seed(0xBEEF),
+            )
+            .high_water(1.6)
+            .low_water(1.05)
+            .machine_bounds(2, 8)
+            .cooldown_ms(100)
+            .boot_lead_ms(120),
+        )
+    }
+    type Case = (
+        &'static str,
+        fn() -> ClusterDriver<LitmusAware>,
+        u64,
+        fn(&ClusterReport) -> bool,
+    );
+    let cases: [Case; 3] = [
+        ("stealing only", stealing_only, 60_000, |r| {
+            r.redispatched > 0
+        }),
+        ("reactive autoscaling", reactive, 60_000, |r| {
+            !r.scale_events().is_empty() && r.forecast_samples().is_empty()
+        }),
+        ("drain closes with work outstanding", traced, 5, |r| {
+            r.unfinished > 0
+        }),
+    ];
+    let trace = bursty_trace(1_200, 31);
+    for (name, driver, drain_ms, reached) in cases {
+        for threads in [1, 4] {
+            let config = || skewed_config(4, threads).drain_ms(drain_ms);
+            let (slice, _) = replay(driver(), config(), trace.source());
+            let (event, _) = replay(
+                driver(),
+                config().stepping(SteppingMode::EventDriven),
+                trace.source(),
+            );
+            assert!(
+                reached(&slice),
+                "{name} at {threads} threads: case not reached"
+            );
+            assert_jsonl_eq(
+                &format!("slice ({name}, {threads} threads)"),
+                &slice.timeline_jsonl(),
+                "event",
+                &event.timeline_jsonl(),
+            );
+            assert_eq!(slice, event, "{name} at {threads} threads");
+        }
     }
 }

@@ -4,8 +4,7 @@
 
 use litmus_cluster::{
     BillingAggregator, BillingShard, Cluster, ClusterConfig, ClusterDriver, ClusterReport,
-    EventClass, EventQueue, LeastLoaded, LitmusAware, MachineConfig, PlacementPolicy, ReplayEvent,
-    RoundRobin,
+    LeastLoaded, LitmusAware, MachineConfig, PlacementPolicy, RoundRobin,
 };
 use litmus_core::{DiscountModel, Invoice, Price, PricingTables, TableBuilder};
 use litmus_platform::{ArrivalPattern, InvocationTrace, TenantId, TenantTraffic};
@@ -268,11 +267,10 @@ fn replays_are_deterministic_per_policy_and_thread_count() {
     assert_eq!(a.billing, b.billing);
     assert_eq!(a.mean_predicted_slowdown, b.mean_predicted_slowdown);
 
-    // The persistent worker pool and the legacy scoped-thread stepping
-    // are bit-identical too.
+    // The event engine on the worker pool is bit-identical too.
     let c = replay(
         LitmusAware::new(),
-        skewed_config(4, 4).stepping(litmus_cluster::SteppingMode::Scoped),
+        skewed_config(4, 4).stepping(litmus_cluster::SteppingMode::EventDriven),
         &trace,
     );
     assert_eq!(a.placements, c.placements);
@@ -361,66 +359,4 @@ fn empty_traces_and_empty_clusters_are_handled() {
     assert_eq!(outcome.completed, 0);
     assert_eq!(outcome.mean_latency_ms, 0.0);
     assert!(outcome.billing.total().is_empty());
-}
-
-// ---------------------------------------------------------------------------
-// Event-queue merge determinism: the replay engine's event queue must
-// drain as a pure function of the inserted multiset — tied timestamps
-// break by event class then stable key, never by insertion sequence.
-// ---------------------------------------------------------------------------
-
-fn replay_event(at_ms: u64, class: u32, key: u64) -> ReplayEvent {
-    let class = match class % 5 {
-        0 => EventClass::Arrival,
-        1 => EventClass::Completion,
-        2 => EventClass::ProbeTick,
-        3 => EventClass::BootReady,
-        _ => EventClass::ForecastSample,
-    };
-    ReplayEvent { at_ms, class, key }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Tiny value ranges force dense timestamp/class/key collisions;
-    /// any insertion order (here: every rotation, forward and
-    /// reversed) must drain in exactly the total (at_ms, class, key)
-    /// order.
-    #[test]
-    fn event_queue_drain_order_is_insertion_invariant(
-        raw in prop::collection::vec((0u64..4, 0u32..5, 0u64..3), 1..32),
-        rotation in 0usize..32,
-    ) {
-        let events: Vec<ReplayEvent> = raw
-            .iter()
-            .map(|&(at_ms, class, key)| replay_event(at_ms, class, key))
-            .collect();
-        let mut expected = events.clone();
-        expected.sort();
-
-        let mut forward = EventQueue::new();
-        for &event in &events {
-            forward.push(event);
-        }
-        let drained: Vec<ReplayEvent> = std::iter::from_fn(|| forward.pop()).collect();
-        prop_assert_eq!(&drained, &expected);
-
-        let mut rotated = EventQueue::new();
-        let pivot = rotation % events.len();
-        for &event in events[pivot..].iter().chain(&events[..pivot]) {
-            rotated.push(event);
-        }
-        let drained_rotated: Vec<ReplayEvent> =
-            std::iter::from_fn(|| rotated.pop()).collect();
-        prop_assert_eq!(&drained_rotated, &expected);
-
-        let mut reversed = EventQueue::new();
-        for &event in events.iter().rev() {
-            reversed.push(event);
-        }
-        let drained_reversed: Vec<ReplayEvent> =
-            std::iter::from_fn(|| reversed.pop()).collect();
-        prop_assert_eq!(&drained_reversed, &expected);
-    }
 }

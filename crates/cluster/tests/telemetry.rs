@@ -114,20 +114,33 @@ fn timeline_jsonl_is_byte_identical_across_thread_counts_and_modes() {
     let trace = bursty_trace(2_000, 17);
     let one = run(full_driver(), skewed_config(4, 1), &trace);
     let four = run(full_driver(), skewed_config(4, 4), &trace);
-    let scoped = run(
+    let event = run(
         full_driver(),
-        skewed_config(4, 4).stepping(SteppingMode::Scoped),
+        skewed_config(4, 4).stepping(SteppingMode::EventDriven),
         &trace,
     );
     let a = one.timeline_jsonl();
     assert!(!one.timeline().is_empty());
     assert_eq!(a, four.timeline_jsonl());
-    assert_eq!(a, scoped.timeline_jsonl());
+    assert_eq!(a, event.timeline_jsonl());
     // Telemetry equality (which skips the wall-clock profile) and full
     // report equality must both hold.
     assert_eq!(one.telemetry(), four.telemetry());
     assert_eq!(one, four);
-    assert_eq!(one, scoped);
+    assert_eq!(one, event);
+}
+
+#[test]
+fn profiling_is_excluded_from_report_equality() {
+    // The stage profile is wall clock: switching it on must leave the
+    // deterministic export and the whole report equal.
+    let trace = bursty_trace(1_200, 29);
+    let profiled = run(full_driver(), skewed_config(4, 1), &trace);
+    let plain = run(full_driver().profiling(false), skewed_config(4, 1), &trace);
+    assert!(profiled.telemetry().profile().is_enabled());
+    assert!(!plain.telemetry().profile().is_enabled());
+    assert_eq!(profiled.timeline_jsonl(), plain.timeline_jsonl());
+    assert_eq!(profiled, plain);
 }
 
 #[test]
@@ -206,7 +219,8 @@ fn timeline_mirrors_the_typed_event_vectors_exactly() {
     let profile = report.telemetry().profile();
     assert!(profile.is_enabled());
     assert!(profile.stage("step").is_some());
-    assert!(!report.timeline_jsonl().contains("barrier"));
+    assert!(profile.stage("fan-out").is_some());
+    assert!(!report.timeline_jsonl().contains("fan-out"));
 }
 
 #[test]

@@ -426,15 +426,20 @@ impl Telemetry {
 }
 
 /// Equality over the *deterministic* state only: config, meta,
-/// registry, timeline and recorder. The wall-clock stage profile is
-/// deliberately ignored so report comparisons (streaming vs
-/// materialized, thread-count sweeps) hold with profiling on. The
-/// streaming sink is also excluded: its contents are a pure function
-/// of the compared timeline/registry state, and `dyn` sinks are not
-/// comparable.
+/// registry, timeline and recorder. The wall-clock stage profile — and
+/// the config's `profiling` switch that enables it — is deliberately
+/// ignored so report comparisons (streaming vs materialized,
+/// thread-count sweeps, profiled vs unprofiled) hold with profiling
+/// on. The streaming sink is also excluded: its contents are a pure
+/// function of the compared timeline/registry state, and `dyn` sinks
+/// are not comparable.
 impl PartialEq for Telemetry {
     fn eq(&self, other: &Self) -> bool {
-        self.config == other.config
+        let unprofiled = |config: TelemetryConfig| TelemetryConfig {
+            profiling: false,
+            ..config
+        };
+        unprofiled(self.config) == unprofiled(other.config)
             && self.meta == other.meta
             && self.registry == other.registry
             && self.timeline == other.timeline

@@ -3,9 +3,8 @@
 //! Everything else in this crate is keyed to *sim* time and must be
 //! bit-identical across hosts and thread counts; stage profiling is
 //! the one deliberate exception. It measures where real time goes in
-//! the replay loop — dispatch, stepping, the slice barrier, stealing,
-//! scaling — so engine rework (the ROADMAP's slice-free event queue)
-//! has a committed before/after. Because the numbers are wall clock,
+//! the replay loop — dispatch, stepping, the worker-pool fan-out,
+//! stealing, scaling — so engine rework has a committed before/after. Because the numbers are wall clock,
 //! the profile is excluded from [`crate::Telemetry`] equality and from
 //! the deterministic JSONL export; it surfaces only through
 //! [`StageProfile::summary`] / [`StageProfile::to_json`], which
@@ -82,15 +81,6 @@ impl StageProfile {
         result
     }
 
-    /// Removes a stage from the profile, returning its accumulated
-    /// cost. The event-driven engine uses this to drop stages that are
-    /// meaningless under its execution model (the slice `barrier`) from
-    /// summaries, so `--profiling` output names only stages the engine
-    /// actually has.
-    pub fn drop_stage(&mut self, name: &str) -> Option<StageStat> {
-        self.stages.remove(name)
-    }
-
     /// All stages in name order.
     pub fn stages(&self) -> impl Iterator<Item = (&'static str, &StageStat)> + '_ {
         self.stages.iter().map(|(&name, stat)| (name, stat))
@@ -165,17 +155,5 @@ mod tests {
         assert!(stat.max_ns <= stat.total_ns);
         assert!(profile.summary().contains("step"));
         assert!(profile.to_json().starts_with(r#"[{"stage":"step""#));
-    }
-
-    #[test]
-    fn dropped_stages_leave_the_summary() {
-        let mut profile = StageProfile::new(true);
-        profile.time("barrier", || std::hint::black_box(0));
-        profile.time("step", || std::hint::black_box(0));
-        let dropped = profile.drop_stage("barrier").unwrap();
-        assert_eq!(dropped.calls, 1);
-        assert!(profile.drop_stage("barrier").is_none());
-        assert!(!profile.summary().contains("barrier"));
-        assert!(profile.summary().contains("step"));
     }
 }
