@@ -1,12 +1,13 @@
 //! Simulator throughput: cost of one scheduling quantum at the
 //! occupancy levels the experiments use (27 one-per-core, 160 and 320
-//! time-shared), and end-to-end function execution.
+//! time-shared), the same quantum after a long launch-on-completion
+//! history, and end-to-end function execution.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use litmus_sim::{MachineSpec, Placement, Simulator};
-use litmus_workloads::{suite, BackfillPool};
+use litmus_workloads::{suite, BackfillPool, WorkloadMix};
 
 fn populated_sim(functions: usize, cores: usize) -> (Simulator, BackfillPool) {
     let mut sim = Simulator::new(MachineSpec::cascade_lake());
@@ -14,6 +15,26 @@ fn populated_sim(functions: usize, cores: usize) -> (Simulator, BackfillPool) {
         .expect("non-empty pool");
     pool.fill(&mut sim, functions).expect("fill");
     pool.run(&mut sim, 50).expect("warmup");
+    (sim, pool)
+}
+
+/// A one-per-core machine whose fillers have already completed (and
+/// been backfilled) `completions` times, as in a long replay. Short
+/// fillers keep the set-up cheap; the live population is the same 27
+/// as the fresh arm, so the two should cost about the same per quantum.
+fn churned_sim(completions: usize) -> (Simulator, BackfillPool) {
+    let mix = WorkloadMix::new(suite::benchmarks(), 42)
+        .expect("non-empty pool")
+        .with_scale(0.01);
+    let mut sim = Simulator::new(MachineSpec::cascade_lake());
+    let mut pool = BackfillPool::from_mix(mix, Placement::pool_range(0, 27));
+    pool.fill(&mut sim, 27).expect("fill");
+    let mut done = 0;
+    while done < completions {
+        let finished = sim.step();
+        done += finished.len();
+        pool.backfill(&mut sim, &finished).expect("backfill");
+    }
     (sim, pool)
 }
 
@@ -26,12 +47,19 @@ fn bench_quantum(c: &mut Criterion) {
             |b, &(functions, cores)| {
                 let (mut sim, mut pool) = populated_sim(functions, cores);
                 b.iter(|| {
-                    let events = sim.step();
-                    pool.backfill(&mut sim, black_box(&events)).unwrap();
+                    let finished = sim.step();
+                    pool.backfill(&mut sim, black_box(&finished)).unwrap();
                 })
             },
         );
     }
+    group.bench_function("27fns_27cores_after_20k_completions", |b| {
+        let (mut sim, mut pool) = churned_sim(20_000);
+        b.iter(|| {
+            let finished = sim.step();
+            pool.backfill(&mut sim, black_box(&finished)).unwrap();
+        })
+    });
     group.finish();
 }
 

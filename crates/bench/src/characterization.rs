@@ -3,7 +3,7 @@
 use std::error::Error;
 
 use litmus_platform::{CoRunEnv, CoRunHarness, HarnessConfig};
-use litmus_sim::{MachineSpec, Placement, Simulator};
+use litmus_sim::{Completion, MachineSpec, Placement, Simulator};
 use litmus_workloads::{suite, Language, TrafficGenerator};
 
 use crate::context::ReproConfig;
@@ -62,15 +62,16 @@ pub fn fig1(config: &ReproConfig) -> Result<String> {
         let mut cells = vec![level.to_string()];
         for gen in TrafficGenerator::ALL {
             let mut sim = Simulator::new(spec.clone());
-            let ids: Vec<_> = (0..level)
-                .map(|core| sim.launch(gen.thread_profile(duration), Placement::pinned(core)))
-                .collect::<std::result::Result<_, _>>()?;
-            sim.run_until_idle()?;
+            for core in 0..level {
+                sim.launch(gen.thread_profile(duration), Placement::pinned(core))?;
+            }
+            // Fold in launch (id) order: float sums depend on it.
+            let mut done = sim.run_until_idle()?;
+            done.sort_by_key(|c| c.id);
             let mut l2 = 0.0;
             let mut l3 = 0.0;
             let mut wall: f64 = 0.0;
-            for id in ids {
-                let r = sim.report(id)?;
+            for Completion { report: r, .. } in done {
                 l2 += r.counters.l2_misses;
                 l3 += r.counters.l3_misses;
                 wall = wall.max(r.wall_ms());

@@ -97,10 +97,7 @@ pub fn fig7(_config: &ReproConfig) -> Result<String> {
             }
         }
         let id = sim.launch(probe.clone(), Placement::pinned(3))?;
-        while sim.state(id)? == litmus_sim::InstanceState::Active {
-            sim.step();
-        }
-        let report = sim.report(id)?;
+        let report = sim.run_to_completion(id)?;
         let startup = report.startup.as_ref().expect("probe startup"); // lint:allow(panic-in-lib): probe config requests startup measurement; absence is a bench-harness bug
         let reading = LitmusReading::from_startup(&baseline, startup)?;
         let level = (reading.shared_slowdown - 1.0) * 8.0 + reading.l3_miss_rate / 50_000.0;

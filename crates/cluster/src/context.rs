@@ -4,7 +4,6 @@ use litmus_core::{
     CommercialPricing, DiscountModel, IdealPricing, Invoice, LitmusPricing, LitmusReading,
     PricingTables,
 };
-use litmus_platform::InvocationTrace;
 use litmus_sim::{ExecutionReport, MachineSpec, Placement, PmuCounters, Simulator};
 use litmus_workloads::Benchmark;
 
@@ -54,32 +53,15 @@ impl ServingContext {
         &self.model
     }
 
-    /// Populates the solo-oracle cache for every distinct function in
-    /// `trace` by running each alone on an idle `spec` machine — the
-    /// offline profiling pass a provider would do once per deployment.
-    ///
-    /// Streaming replays don't pre-scan a materialized trace; they call
-    /// [`ServingContext::warm_function`] lazily instead. Both paths
-    /// produce identical oracles: each solo run happens on its own
-    /// fresh simulator, so warming order cannot matter.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solo-run failures.
-    pub fn warm(&mut self, spec: &MachineSpec, trace: &InvocationTrace) -> Result<()> {
-        for event in trace.events() {
-            self.warm_function(spec, &event.function)?;
-        }
-        Ok(())
-    }
-
     /// Whether `function`'s solo oracle is already cached.
     pub fn is_warmed(&self, function: &Benchmark) -> bool {
         self.solo.contains_key(function.name())
     }
 
     /// Runs `function` alone on an idle `spec` machine and caches its
-    /// solo counters (no-op when already cached).
+    /// solo counters (no-op when already cached). Replays call this
+    /// lazily, the first time each function appears; each solo run
+    /// gets its own fresh simulator, so warming order cannot matter.
     ///
     /// # Errors
     ///
@@ -103,11 +85,6 @@ impl ServingContext {
             .counters;
         self.solo.insert(name, counters);
         Ok(())
-    }
-
-    /// Number of functions with a warmed solo oracle.
-    pub fn warmed_functions(&self) -> usize {
-        self.solo.len()
     }
 
     /// Prices one completed invocation and returns the invoice plus the

@@ -2,7 +2,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use litmus_platform::{CoRunEnv, CoRunHarness, HarnessConfig, TenantId};
-use litmus_sim::{Event, ExecutionProfile, InstanceId, MachineSpec};
+use litmus_sim::{Completion, ExecutionProfile, InstanceId, MachineSpec};
 use litmus_telemetry::TraceId;
 use litmus_workloads::{Benchmark, Language};
 
@@ -387,9 +387,9 @@ impl Machine {
                     continue;
                 }
             }
-            let events = self.harness.step()?;
+            let completions = self.harness.step()?;
             self.quanta += 1;
-            self.settle(&events, ctx)?;
+            self.settle(completions, ctx)?;
         }
         self.launch_due(ctx)?;
         Ok(())
@@ -449,19 +449,20 @@ impl Machine {
         Ok(())
     }
 
-    /// Prices completions among `events` and updates serving stats.
-    fn settle(&mut self, events: &[Event], ctx: &ServingContext) -> Result<()> {
-        for &Event::Completed { id, at_ms } in events {
+    /// Prices the serving invocations among `completions` from the
+    /// reports they carry and updates serving stats.
+    fn settle(&mut self, completions: Vec<Completion>, ctx: &ServingContext) -> Result<()> {
+        for Completion { id, report } in completions {
             let Some(done) = self.inflight.remove(&id) else {
                 continue; // a background filler, not serving traffic
             };
-            let report = self.harness.report(id)?;
             let (invoice, predicted) = ctx.price(&done.function, &report)?;
             self.predicted_slowdown = predicted;
             self.completed += 1;
             // Both times in cluster coordinates: local completion time
             // shifted by the machine's epoch/birth offset.
-            let completed_cluster_ms = self.born_ms as f64 + (at_ms - self.epoch_ms as f64);
+            let completed_cluster_ms =
+                self.born_ms as f64 + (report.completed_ms - self.epoch_ms as f64);
             self.last_probe_ms = self.last_probe_ms.max(completed_cluster_ms as u64);
             self.latency_sum_ms += completed_cluster_ms - done.arrived_cluster_ms as f64;
             if let Some(trace) = done.trace {

@@ -1,5 +1,5 @@
 use litmus_sim::{
-    Event, ExecutionProfile, ExecutionReport, FrequencyGovernor, InstanceId, MachineSpec,
+    Completion, ExecutionProfile, ExecutionReport, FrequencyGovernor, InstanceId, MachineSpec,
     Placement, Simulator,
 };
 use litmus_workloads::{suite, BackfillPool, Benchmark, WorkloadMix};
@@ -230,9 +230,10 @@ impl CoRunHarness {
 
     /// Launches `profile` in the measurement slot *without* running it
     /// to completion — callers drive progress with [`CoRunHarness::step`]
-    /// and harvest the report when the returned id completes. This is
-    /// the building block external schedulers (e.g. a cluster driver)
-    /// use to interleave many in-flight invocations on one machine.
+    /// and take the report from the completion that carries the
+    /// returned id; it is not kept anywhere else. This is the building
+    /// block external schedulers (e.g. a cluster driver) use to
+    /// interleave many in-flight invocations on one machine.
     ///
     /// # Errors
     ///
@@ -243,18 +244,19 @@ impl CoRunHarness {
 
     /// Advances the machine by exactly one scheduling quantum, keeping
     /// the co-runner population backfilled, and returns the quantum's
-    /// completion events (which may include ids from
-    /// [`CoRunHarness::submit`]).
+    /// completions with their reports (which may include ids from
+    /// [`CoRunHarness::submit`]). This is the only time a finished
+    /// instance's report is handed out.
     ///
     /// # Errors
     ///
     /// Propagates backfill launch failures.
-    pub fn step(&mut self) -> Result<Vec<Event>> {
-        let events = self.sim.step();
+    pub fn step(&mut self) -> Result<Vec<Completion>> {
+        let completions = self.sim.step();
         if !self.draining {
-            self.pool.backfill(&mut self.sim, &events)?;
+            self.pool.backfill(&mut self.sim, &completions)?;
         }
-        Ok(events)
+        Ok(completions)
     }
 
     /// Fast-forwards an *idle* machine (no active instances, serving or
@@ -262,7 +264,7 @@ impl CoRunHarness {
     /// quantum — bit-identical to calling [`CoRunHarness::step`] once
     /// per quantum, because an idle simulator's state is a fixed point
     /// after one settling quantum ([`Simulator::skip_idle_to`]) and
-    /// backfill only reacts to completion events, of which an idle
+    /// backfill only reacts to completions, of which an idle
     /// machine produces none. A no-op when `target_ms` is in the past.
     ///
     /// # Errors
@@ -271,16 +273,6 @@ impl CoRunHarness {
     /// machine is not idle.
     pub fn fast_forward_to(&mut self, target_ms: u64) -> Result<()> {
         Ok(self.sim.skip_idle_to(target_ms)?)
-    }
-
-    /// The report of a completed instance (see [`CoRunHarness::submit`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`litmus_sim::SimError`] for unknown or still-running
-    /// instances.
-    pub fn report(&self, id: InstanceId) -> Result<ExecutionReport> {
-        Ok(self.sim.report(id)?)
     }
 }
 

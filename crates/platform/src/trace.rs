@@ -4,7 +4,7 @@ use litmus_core::{
     BillingLedger, CommercialPricing, IdealPricing, Invoice, LitmusPricing, LitmusReading,
     PricingTables,
 };
-use litmus_sim::{Event, InstanceId, MachineSpec, Placement, PmuCounters, Simulator};
+use litmus_sim::{InstanceId, MachineSpec, Placement, PmuCounters, Simulator};
 use litmus_workloads::{Benchmark, WorkloadMix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -863,11 +863,10 @@ impl TraceDriver {
                 break;
             }
             for completion in sim.step() {
-                let Event::Completed { id, .. } = completion;
-                let Some(bench) = pending.remove(&id) else {
+                let Some(bench) = pending.remove(&completion.id) else {
                     continue;
                 };
-                let report = sim.report(id)?;
+                let report = completion.report;
                 let baseline = tables.baseline(bench.language())?;
                 let startup = report
                     .startup

@@ -22,7 +22,8 @@ const HORIZON_MS: u64 = 30_000_000;
 pub struct InstanceId(usize);
 
 impl InstanceId {
-    /// The raw index (stable for the lifetime of the simulator).
+    /// The raw launch counter value: a simulator issues ids in launch
+    /// order and never reuses one.
     pub fn as_usize(&self) -> usize {
         self.0
     }
@@ -90,29 +91,21 @@ impl Placement {
     }
 }
 
-/// Lifecycle state of an instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InstanceState {
-    /// Launched and still executing (or waiting for a core).
-    Active,
-    /// Finished; an [`ExecutionReport`] is available.
-    Completed,
-}
-
-/// Notification produced by [`Simulator::step`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Event {
-    /// An instance ran to completion during the step.
-    Completed {
-        /// The finished instance.
-        id: InstanceId,
-        /// Completion time in (fractional) ms.
-        at_ms: f64,
-    },
+/// An instance that ran to completion, handed out once by
+/// [`Simulator::step`]. The simulator keeps nothing of a finished
+/// instance, so this is the only place its report appears.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Completion {
+    /// The finished instance.
+    pub id: InstanceId,
+    /// Its execution record; `report.completed_ms` is the (fractional)
+    /// completion time.
+    pub report: ExecutionReport,
 }
 
 #[derive(Debug)]
 struct Context {
+    id: InstanceId,
     profile: ExecutionProfile,
     allowed: Vec<usize>,
     phase_idx: usize,
@@ -132,8 +125,20 @@ struct Context {
 }
 
 impl Context {
-    fn is_active(&self) -> bool {
-        self.completed_ms.is_none()
+    /// The context's report, moving its name, startup window and
+    /// samples out; `None` while it is still running.
+    fn into_completion(self) -> Option<Completion> {
+        Some(Completion {
+            id: self.id,
+            report: ExecutionReport {
+                name: self.profile.into_name(),
+                launched_ms: self.launched_ms,
+                completed_ms: self.completed_ms?,
+                counters: self.counters,
+                startup: self.startup_report,
+                samples: self.samples,
+            },
+        })
     }
 }
 
@@ -149,16 +154,22 @@ struct Slot {
 /// The quantum-stepped machine simulator.
 ///
 /// See the [crate-level documentation](crate) for the performance model.
-/// Typical use: [`Simulator::launch`] workloads, [`Simulator::step`] (or
-/// the `run_*` helpers) until the instances of interest complete, then
-/// read [`Simulator::report`].
+/// Typical use: [`Simulator::launch`] workloads, then [`Simulator::step`]
+/// (or the `run_*` helpers) until the instances of interest complete.
+/// Each [`Completion`] carries its instance's [`ExecutionReport`]; the
+/// simulator holds only live instances, so a finished one cannot be
+/// looked up afterwards and per-quantum cost follows the live count,
+/// not the number ever launched.
 #[derive(Debug)]
 pub struct Simulator {
     spec: MachineSpec,
     model: ContentionModel,
     governor: FrequencyGovernor,
     now_ms: u64,
+    /// Live contexts only, in launch (id) order.
     contexts: Vec<Context>,
+    /// Instances launched so far: the next [`InstanceId`].
+    launched: usize,
     machine_l3_misses: f64,
     /// One congestion snapshot per sharing domain (socket).
     last_snapshots: Vec<CongestionSnapshot>,
@@ -195,6 +206,7 @@ impl Simulator {
             governor,
             now_ms: 0,
             contexts: Vec::new(),
+            launched: 0,
             machine_l3_misses: 0.0,
             last_snapshots,
             idle_settled: false,
@@ -233,7 +245,15 @@ impl Simulator {
 
     /// Number of instances still active.
     pub fn active_instances(&self) -> usize {
-        self.contexts.iter().filter(|c| c.is_active()).count()
+        self.contexts.len()
+    }
+
+    /// Whether `id` is still running (launched here and not yet
+    /// handed out in a [`Completion`]).
+    pub fn is_live(&self, id: InstanceId) -> bool {
+        self.contexts
+            .binary_search_by_key(&id, |ctx| ctx.id)
+            .is_ok()
     }
 
     /// Launches a workload without per-quantum sampling.
@@ -271,9 +291,11 @@ impl Simulator {
         sampling: bool,
     ) -> Result<InstanceId> {
         placement.validate(&self.spec)?;
-        let id = InstanceId(self.contexts.len());
+        let id = InstanceId(self.launched);
+        self.launched += 1;
         let startup_pending = profile.has_startup();
         self.contexts.push(Context {
+            id,
             profile,
             allowed: placement.allowed,
             phase_idx: 0,
@@ -294,48 +316,10 @@ impl Simulator {
         Ok(id)
     }
 
-    /// Lifecycle state of `id`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownInstance`] for an id this simulator
-    /// never issued.
-    pub fn state(&self, id: InstanceId) -> Result<InstanceState> {
-        let ctx = self
-            .contexts
-            .get(id.0)
-            .ok_or(SimError::UnknownInstance(id))?;
-        Ok(if ctx.is_active() {
-            InstanceState::Active
-        } else {
-            InstanceState::Completed
-        })
-    }
-
-    /// Execution report for a completed instance.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::UnknownInstance`] for an unknown id.
-    /// * [`SimError::StillRunning`] if the instance has not finished.
-    pub fn report(&self, id: InstanceId) -> Result<ExecutionReport> {
-        let ctx = self
-            .contexts
-            .get(id.0)
-            .ok_or(SimError::UnknownInstance(id))?;
-        let completed_ms = ctx.completed_ms.ok_or(SimError::StillRunning(id))?;
-        Ok(ExecutionReport {
-            name: ctx.profile.name().to_owned(),
-            launched_ms: ctx.launched_ms,
-            completed_ms,
-            counters: ctx.counters,
-            startup: ctx.startup_report.clone(),
-            samples: ctx.samples.clone(),
-        })
-    }
-
-    /// Advances one quantum; returns completion events in instance order.
-    pub fn step(&mut self) -> Vec<Event> {
+    /// Advances one quantum and hands out the instances that finished
+    /// in it, in launch order. Their contexts are released: each report
+    /// is returned here once and nowhere else.
+    pub fn step(&mut self) -> Vec<Completion> {
         let slots = self.schedule();
         let active = slots.len();
         let freq = self
@@ -345,15 +329,10 @@ impl Simulator {
 
         let snapshots = self.solve_congestion(&slots, cycles_q);
 
-        let mut events = Vec::new();
         let mut machine_l3_this_quantum = 0.0;
         for slot in &slots {
             let snapshot = snapshots[self.spec.domain_of(slot.core)];
-            if let Some(event) =
-                self.advance(slot, cycles_q, &snapshot, &mut machine_l3_this_quantum)
-            {
-                events.push(event);
-            }
+            self.advance(slot, cycles_q, &snapshot, &mut machine_l3_this_quantum);
         }
 
         self.machine_l3_misses += machine_l3_this_quantum;
@@ -363,17 +342,20 @@ impl Simulator {
         // run stamp is the quantum's *end* time so that a context that
         // just ran sorts behind peers still waiting from earlier quanta.
         self.now_ms += 1;
-        let scheduled: Vec<usize> = slots.iter().map(|s| s.ctx).collect();
-        for (idx, ctx) in self.contexts.iter_mut().enumerate() {
-            let ran = scheduled.contains(&idx);
-            if ran {
-                ctx.last_run_ms = self.now_ms;
-                ctx.has_run = true;
-            }
-            ctx.ran_last_quantum = ran;
+        for ctx in &mut self.contexts {
+            ctx.ran_last_quantum = false;
+        }
+        for slot in &slots {
+            let ctx = &mut self.contexts[slot.ctx];
+            ctx.last_run_ms = self.now_ms;
+            ctx.has_run = true;
+            ctx.ran_last_quantum = true;
         }
         self.idle_settled = active == 0;
-        events
+        self.contexts
+            .extract_if(.., |ctx| ctx.completed_ms.is_some())
+            .filter_map(Context::into_completion)
+            .collect()
     }
 
     /// Whether the most recent quantum scheduled nothing, so the
@@ -386,10 +368,10 @@ impl Simulator {
     /// Fast-forwards an idle machine to `target_ms` in O(1), exactly
     /// as if [`Simulator::step`] had been called once per quantum.
     ///
-    /// An empty quantum's only effects are the clock tick, refreshing
-    /// [`Simulator::congestion`] from the (empty) schedule and
-    /// clearing the contexts' ran-last-quantum flags — all of which
-    /// reach a fixed point after a single empty quantum. So the skip
+    /// An idle machine holds no contexts, so an empty quantum's only
+    /// effects are the clock tick and refreshing
+    /// [`Simulator::congestion`] from the (empty) schedule — which
+    /// reaches a fixed point after a single empty quantum. So the skip
     /// runs at most one real settling quantum (none if the machine is
     /// already settled) and then jumps the clock, which is
     /// bit-identical to stepping quantum by quantum. A no-op when
@@ -413,59 +395,66 @@ impl Simulator {
         Ok(())
     }
 
-    /// Steps `ms` quanta, collecting all events.
-    pub fn run_for_ms(&mut self, ms: u64) -> Vec<Event> {
-        let mut events = Vec::new();
+    /// Steps `ms` quanta, collecting every completion.
+    pub fn run_for_ms(&mut self, ms: u64) -> Vec<Completion> {
+        let mut completions = Vec::new();
         for _ in 0..ms {
-            events.extend(self.step());
+            completions.extend(self.step());
         }
-        events
+        completions
     }
 
-    /// Steps until `id` completes, then returns its report.
+    /// Steps until `id` completes, then returns its report, taken from
+    /// its completion. Other instances finishing on the way are
+    /// released with their reports dropped.
     ///
     /// # Errors
     ///
-    /// * [`SimError::UnknownInstance`] for an unknown id.
+    /// * [`SimError::UnknownInstance`] unless `id` is live — also for an
+    ///   instance that has already finished, since its report was handed
+    ///   out with its completion.
     /// * [`SimError::HorizonExceeded`] if the instance does not finish
     ///   within the safety horizon (deadlocked placements, runaway
     ///   profiles).
     pub fn run_to_completion(&mut self, id: InstanceId) -> Result<ExecutionReport> {
-        if id.0 >= self.contexts.len() {
+        if !self.is_live(id) {
             return Err(SimError::UnknownInstance(id));
         }
         let deadline = self.now_ms + HORIZON_MS;
-        while self.contexts[id.0].is_active() {
+        loop {
             if self.now_ms >= deadline {
                 return Err(SimError::HorizonExceeded {
                     horizon_ms: HORIZON_MS,
                 });
             }
-            self.step();
+            if let Some(done) = self.step().into_iter().find(|c| c.id == id) {
+                return Ok(done.report);
+            }
         }
-        self.report(id)
     }
 
-    /// Steps until every launched instance has completed.
+    /// Steps until every launched instance has completed and returns
+    /// their completions in the order they finished (launch order
+    /// within one quantum).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::HorizonExceeded`] on runaway workloads.
-    pub fn run_until_idle(&mut self) -> Result<Vec<Event>> {
+    pub fn run_until_idle(&mut self) -> Result<Vec<Completion>> {
         let deadline = self.now_ms + HORIZON_MS;
-        let mut events = Vec::new();
+        let mut completions = Vec::new();
         while self.active_instances() > 0 {
             if self.now_ms >= deadline {
                 return Err(SimError::HorizonExceeded {
                     horizon_ms: HORIZON_MS,
                 });
             }
-            events.extend(self.step());
+            completions.extend(self.step());
         }
-        Ok(events)
+        Ok(completions)
     }
 
-    /// Round-robin, least-recently-run-first scheduling of active
+    /// Round-robin, least-recently-run-first scheduling of the live
     /// contexts onto hardware-thread slots.
     fn schedule(&self) -> Vec<Slot> {
         let smt = self.spec.smt_ways;
@@ -475,17 +464,13 @@ impl Simulator {
         // of demand across its allowed cores. Used for the Fig. 14
         // switch-overhead factor.
         let mut load = vec![0.0f64; self.spec.cores];
-        let mut runnable: Vec<usize> = Vec::new();
-        for (idx, ctx) in self.contexts.iter().enumerate() {
-            if !ctx.is_active() {
-                continue;
-            }
-            runnable.push(idx);
+        for ctx in &self.contexts {
             let share = 1.0 / ctx.allowed.len() as f64;
             for &core in &ctx.allowed {
                 load[core] += share;
             }
         }
+        let mut runnable: Vec<usize> = (0..self.contexts.len()).collect();
         runnable.sort_by_key(|&idx| (self.contexts[idx].last_run_ms, idx));
 
         let mut assigned: Vec<Slot> = Vec::new();
@@ -528,7 +513,7 @@ impl Simulator {
         // Live footprint per domain: a context's working set lands on
         // the domains its allowed cores belong to, split proportionally.
         let mut live_footprint = vec![0.0f64; domains];
-        for ctx in self.contexts.iter().filter(|c| c.is_active()) {
+        for ctx in &self.contexts {
             let fp = ctx.profile.phases()[ctx.phase_idx].footprint_mb;
             let share = fp / ctx.allowed.len() as f64;
             for &core in &ctx.allowed {
@@ -636,19 +621,19 @@ impl Simulator {
 
     /// Advances one scheduled context through a quantum's cycles,
     /// handling phase boundaries, startup-window snapshots and
-    /// completion. Returns a completion event if the profile ended.
+    /// completion (stamped on the context; [`Simulator::step`] releases
+    /// it).
     fn advance(
         &mut self,
         slot: &Slot,
         cycles_q: f64,
         snapshot: &CongestionSnapshot,
         machine_l3: &mut f64,
-    ) -> Option<Event> {
+    ) {
         let mut cycles_left = cycles_q;
         let mut quantum_instr = 0.0;
         let mut quantum_cycles = 0.0;
         let mut quantum_l3 = 0.0;
-        let mut completed: Option<f64> = None;
 
         // Context-switch accounting: scheduled now after a gap.
         {
@@ -719,9 +704,7 @@ impl Simulator {
                     });
                 }
                 if ctx.phase_idx == profile_len {
-                    let at = self.now_ms as f64 + frac;
-                    ctx.completed_ms = Some(at);
-                    completed = Some(at);
+                    ctx.completed_ms = Some(self.now_ms as f64 + frac);
                     break;
                 }
             } else {
@@ -739,10 +722,6 @@ impl Simulator {
                 l3_misses: quantum_l3,
             });
         }
-        completed.map(|at_ms| Event::Completed {
-            id: InstanceId(slot.ctx),
-            at_ms,
-        })
     }
 }
 
@@ -779,7 +758,7 @@ mod tests {
         assert!((report.counters.instructions - 5_000_000.0).abs() < 1.0);
         assert!(report.wall_ms() > 0.0);
         assert!(report.counters.cycles > 0.0);
-        assert_eq!(sim.state(id).unwrap(), InstanceState::Completed);
+        assert!(!sim.is_live(id));
     }
 
     #[test]
@@ -848,26 +827,22 @@ mod tests {
     #[test]
     fn pool_spreads_load_across_cores() {
         let mut sim = sim();
-        let ids: Vec<_> = (0..4)
-            .map(|i| {
-                sim.launch(
-                    compute_profile(&format!("w{i}"), 10_000_000.0),
-                    Placement::pool_range(0, 4),
-                )
-                .unwrap()
-            })
-            .collect();
-        for id in &ids {
-            sim.run_to_completion(*id).unwrap();
+        for i in 0..4 {
+            sim.launch(
+                compute_profile(&format!("w{i}"), 10_000_000.0),
+                Placement::pool_range(0, 4),
+            )
+            .unwrap();
         }
+        let completions = sim.run_until_idle().unwrap();
+        assert_eq!(completions.len(), 4);
         // 4 workloads on 4 cores: no time sharing, wall time close to solo.
         let mut alone = Simulator::new(MachineSpec::cascade_lake());
         let s = alone
             .launch(compute_profile("s", 10_000_000.0), Placement::pinned(0))
             .unwrap();
         let rs = alone.run_to_completion(s).unwrap();
-        for id in ids {
-            let r = sim.report(id).unwrap();
+        for Completion { report: r, .. } in completions {
             assert!(r.wall_ms() < rs.wall_ms() * 1.5);
         }
     }
@@ -919,9 +894,8 @@ mod tests {
             .unwrap();
         let mut completions = 0;
         for _ in 0..100 {
-            for event in sim.step() {
-                let Event::Completed { id: done, .. } = event;
-                assert_eq!(done, id);
+            for done in sim.step() {
+                assert_eq!(done.id, id);
                 completions += 1;
             }
         }
@@ -933,13 +907,52 @@ mod tests {
         let mut sim = sim();
         let bogus = InstanceId(42);
         assert_eq!(
-            sim.report(bogus).unwrap_err(),
+            sim.run_to_completion(bogus).unwrap_err(),
             SimError::UnknownInstance(bogus)
         );
         let id = sim
             .launch(compute_profile("a", 1e9), Placement::pinned(0))
             .unwrap();
-        assert_eq!(sim.report(id).unwrap_err(), SimError::StillRunning(id));
+        assert!(sim.is_live(id));
+        assert!(!sim.is_live(bogus));
+    }
+
+    #[test]
+    fn finished_instances_are_released() {
+        let mut sim = sim();
+        // Short instances one after another: nothing outlives its run.
+        for _ in 0..1_000 {
+            let id = sim
+                .launch(compute_profile("short", 200_000.0), Placement::pinned(0))
+                .unwrap();
+            assert_eq!(sim.run_to_completion(id).unwrap().name, "short");
+            assert_eq!(sim.contexts.len(), 0);
+        }
+        let id = sim
+            .launch(compute_profile("short", 200_000.0), Placement::pinned(0))
+            .unwrap();
+        sim.run_to_completion(id).unwrap();
+        assert_eq!(
+            sim.run_to_completion(id).unwrap_err(),
+            SimError::UnknownInstance(id)
+        );
+
+        // Launch-on-completion churn (the backfill protocol): eight
+        // fillers time-share four cores and each completion is replaced.
+        let filler = |n: usize| compute_profile("filler", 1.0e6 * (1 + n % 5) as f64);
+        for n in 0..8 {
+            sim.launch(filler(n), Placement::pool_range(0, 4)).unwrap();
+        }
+        let mut completed = 0;
+        while completed < 1_000 {
+            for done in sim.step() {
+                assert!(!sim.is_live(done.id));
+                completed += 1;
+                sim.launch(filler(completed), Placement::pool_range(0, 4))
+                    .unwrap();
+            }
+            assert_eq!(sim.contexts.len(), 8);
+        }
     }
 
     #[test]

@@ -31,10 +31,9 @@ pub enum SimError {
     },
     /// A placement allowed no cores at all.
     EmptyPlacement,
-    /// An instance id did not correspond to a launched workload.
+    /// An instance id did not name a live workload: never launched, or
+    /// already finished and handed out in its completion.
     UnknownInstance(InstanceId),
-    /// The queried instance has not finished executing yet.
-    StillRunning(InstanceId),
     /// A machine specification parameter was invalid.
     InvalidSpec {
         /// Which parameter was invalid.
@@ -70,9 +69,6 @@ impl fmt::Display for SimError {
             SimError::EmptyPlacement => write!(f, "placement allows no cores"),
             SimError::UnknownInstance(id) => {
                 write!(f, "unknown instance id {}", id.as_usize())
-            }
-            SimError::StillRunning(id) => {
-                write!(f, "instance {} is still running", id.as_usize())
             }
             SimError::InvalidSpec { field, value } => {
                 write!(f, "invalid machine spec parameter {field} = {value}")

@@ -34,6 +34,14 @@
 //! `T_shared` accumulates `stall·instructions`; everything else is
 //! `T_private` — the same decomposition the paper obtains from the PMU.
 //!
+//! # Lifecycle
+//!
+//! The simulator holds live instances only. When one finishes,
+//! [`Simulator::step`] releases it and hands its [`ExecutionReport`] out
+//! in a [`Completion`] — the way a provider meters each invocation once,
+//! when it ends. There is no lookup afterwards, so a replay's per-quantum
+//! cost and memory follow the work in flight, not the history.
+//!
 //! # Examples
 //!
 //! ```
@@ -64,7 +72,7 @@ mod report;
 mod spec;
 
 pub use contention::{CongestionSnapshot, ContentionInputs, ContentionModel};
-pub use engine::{Event, InstanceId, InstanceState, Placement, Simulator};
+pub use engine::{Completion, InstanceId, Placement, Simulator};
 pub use error::SimError;
 pub use frequency::FrequencyGovernor;
 pub use pmu::{PmuCounters, PmuSample};

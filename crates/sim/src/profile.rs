@@ -130,6 +130,12 @@ impl ExecutionProfile {
         &self.inner.name
     }
 
+    /// The workload name, moved out when this is the profile's only
+    /// handle (copied when a clone still shares it).
+    pub(crate) fn into_name(self) -> String {
+        Arc::try_unwrap(self.inner).map_or_else(|shared| shared.name.clone(), |inner| inner.name)
+    }
+
     /// All phases, startup prefix first.
     pub fn phases(&self) -> &[ExecPhase] {
         &self.inner.phases

@@ -144,17 +144,14 @@ proptest! {
     fn simulation_is_reproducible(phases in prop::collection::vec(arb_phase(), 1..3)) {
         let run = || {
             let mut sim = Simulator::new(MachineSpec::cascade_lake());
-            let ids: Vec<_> = phases
-                .iter()
-                .enumerate()
-                .map(|(core, &p)| {
-                    sim.launch(profile_from(vec![p]), Placement::pinned(core))
-                        .unwrap()
-                })
-                .collect();
-            sim.run_until_idle().unwrap();
-            ids.into_iter()
-                .map(|id| sim.report(id).unwrap().counters)
+            for (core, &p) in phases.iter().enumerate() {
+                sim.launch(profile_from(vec![p]), Placement::pinned(core))
+                    .unwrap();
+            }
+            let mut done = sim.run_until_idle().unwrap();
+            done.sort_by_key(|c| c.id);
+            done.into_iter()
+                .map(|c| c.report.counters)
                 .collect::<Vec<_>>()
         };
         prop_assert_eq!(run(), run());

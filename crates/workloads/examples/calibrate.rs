@@ -60,9 +60,8 @@ fn corun_landscape() {
         }
         // Warm up 200 ms with backfill.
         for _ in 0..200 {
-            for event in sim.step() {
-                let litmus_sim::Event::Completed { id, .. } = event;
-                if let Some(core) = core_of.remove(&id) {
+            for done in sim.step() {
+                if let Some(core) = core_of.remove(&done.id) {
                     let cid = sim
                         .launch(mix.next_profile(), Placement::pinned(core))
                         .unwrap();
@@ -71,25 +70,18 @@ fn corun_landscape() {
             }
         }
         let tid = sim.launch(b.profile(), Placement::pinned(0)).unwrap();
-        loop {
-            let events = sim.step();
-            let mut done = false;
-            for event in events {
-                let litmus_sim::Event::Completed { id, .. } = event;
-                if id == tid {
-                    done = true;
-                } else if let Some(core) = core_of.remove(&id) {
+        let cong = 'measure: loop {
+            for done in sim.step() {
+                if done.id == tid {
+                    break 'measure done.report;
+                } else if let Some(core) = core_of.remove(&done.id) {
                     let cid = sim
                         .launch(mix.next_profile(), Placement::pinned(core))
                         .unwrap();
                     core_of.insert(cid, core);
                 }
             }
-            if done {
-                break;
-            }
-        }
-        let cong = sim.report(tid).unwrap();
+        };
         let slow = cong.wall_ms() / solo.wall_ms();
         let ps =
             cong.counters.t_private_per_instruction() / solo.counters.t_private_per_instruction();

@@ -1,4 +1,4 @@
-use litmus_sim::{Event, ExecutionReport, InstanceId, Placement, SimError, Simulator};
+use litmus_sim::{Completion, ExecutionReport, InstanceId, Placement, SimError, Simulator};
 
 use crate::benchmark::Benchmark;
 use crate::mix::WorkloadMix;
@@ -92,38 +92,43 @@ impl BackfillPool {
     }
 
     /// Steps until `target` completes (backfilling fillers throughout)
-    /// and returns its report.
+    /// and returns its report, taken from its completion. Filler
+    /// reports are dropped as their completions are backfilled.
     ///
     /// # Errors
     ///
-    /// Propagates backfill/report failures; [`SimError::UnknownInstance`]
-    /// if `target` was never launched.
+    /// Propagates backfill launch failures; [`SimError::UnknownInstance`]
+    /// if `target` is not live (never launched, or already finished).
     pub fn run_until(
         &mut self,
         sim: &mut Simulator,
         target: InstanceId,
     ) -> Result<ExecutionReport, SimError> {
         // Validate the target before stepping forever on a bogus id.
-        sim.state(target)?;
+        if !sim.is_live(target) {
+            return Err(SimError::UnknownInstance(target));
+        }
         loop {
-            let events = sim.step();
-            let done = events
-                .iter()
-                .any(|&Event::Completed { id, .. }| id == target);
-            self.backfill(sim, &events)?;
-            if done {
-                return sim.report(target);
+            let completions = sim.step();
+            self.backfill(sim, &completions)?;
+            if let Some(done) = completions.into_iter().find(|c| c.id == target) {
+                return Ok(done.report);
             }
         }
     }
 
-    /// Replaces every completed filler among `events` with a fresh draw.
+    /// Replaces every completed filler among `completions` with a fresh
+    /// draw.
     ///
     /// # Errors
     ///
     /// Propagates launch failures.
-    pub fn backfill(&mut self, sim: &mut Simulator, events: &[Event]) -> Result<(), SimError> {
-        for &Event::Completed { id, .. } in events {
+    pub fn backfill(
+        &mut self,
+        sim: &mut Simulator,
+        completions: &[Completion],
+    ) -> Result<(), SimError> {
+        for &Completion { id, .. } in completions {
             if let Some(pos) = self.live.iter().position(|&l| l == id) {
                 self.live.swap_remove(pos);
                 let new_id = sim.launch(self.mix.next_profile(), self.placement.clone())?;

@@ -76,7 +76,7 @@ impl fmt::Display for TrafficGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use litmus_sim::{MachineSpec, Placement, Simulator};
+    use litmus_sim::{Completion, MachineSpec, Placement, Simulator};
 
     #[test]
     fn ct_gen_hits_l3_mb_gen_misses_it() {
@@ -100,17 +100,15 @@ mod tests {
         let mut results = Vec::new();
         for gen in TrafficGenerator::ALL {
             let mut sim = Simulator::new(MachineSpec::cascade_lake());
-            let ids: Vec<_> = (0..8)
-                .map(|core| {
-                    sim.launch(gen.thread_profile(50.0), Placement::pinned(core))
-                        .unwrap()
-                })
-                .collect();
-            sim.run_until_idle().unwrap();
+            for core in 0..8 {
+                sim.launch(gen.thread_profile(50.0), Placement::pinned(core))
+                    .unwrap();
+            }
+            let mut done = sim.run_until_idle().unwrap();
+            done.sort_by_key(|c| c.id);
             let mut l2 = 0.0;
             let mut l3 = 0.0;
-            for id in ids {
-                let r = sim.report(id).unwrap();
+            for Completion { report: r, .. } in done {
                 l2 += r.counters.l2_misses;
                 l3 += r.counters.l3_misses;
             }

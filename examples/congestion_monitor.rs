@@ -38,10 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     while t < 1400 {
         // Launch a Litmus probe on core 3 (a fresh function starting).
         let id = sim.launch(probe_profile.clone(), Placement::pinned(3))?;
-        while sim.state(id)? == litmus::sim::InstanceState::Active {
-            sim.step();
-        }
-        let report = sim.report(id)?;
+        let report = sim.run_to_completion(id)?;
         let startup = report.startup.as_ref().expect("probe startup");
         let reading = LitmusReading::from_startup(&baseline, startup)?;
         // A scalar "level" in the Fig. 7 spirit from the probe signals.

@@ -160,17 +160,16 @@ fn traffic_generators_match_fig1() {
     let spec = MachineSpec::cascade_lake();
     let run = |gen: TrafficGenerator, level: usize| {
         let mut sim = Simulator::new(spec.clone());
-        let ids: Vec<_> = (0..level)
-            .map(|core| {
-                sim.launch(gen.thread_profile(30.0), Placement::pinned(core))
-                    .unwrap()
-            })
-            .collect();
-        sim.run_until_idle().unwrap();
+        for core in 0..level {
+            sim.launch(gen.thread_profile(30.0), Placement::pinned(core))
+                .unwrap();
+        }
+        let mut done = sim.run_until_idle().unwrap();
+        done.sort_by_key(|c| c.id);
         let mut l2 = 0.0;
         let mut l3 = 0.0;
-        for id in ids {
-            let r = sim.report(id).unwrap();
+        for c in done {
+            let r = c.report;
             l2 += r.counters.l2_misses;
             l3 += r.counters.l3_misses;
         }
